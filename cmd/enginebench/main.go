@@ -140,31 +140,33 @@ func main() {
 			r.Figures.SpeedupSequential = baselineFiguresWall / r.Figures.WallSecondsJ1
 			r.Figures.SpeedupAtJN = baselineFiguresWall / r.Figures.WallSecondsJN
 		}
+	}
 
-		const ranks, size, iters = 64, 4096, 8
-		r.ShardedWorld.Workload = "mxoe alltoall, leaf-spine 8x2, conservative parallel runtime (internal/pdes)"
-		r.ShardedWorld.Ranks = ranks
-		r.ShardedWorld.Shards = *shards
-		s1Wall, s1Res := timeSharded(1, ranks, size, iters)
-		sNWall, sNRes := timeSharded(*shards, ranks, size, iters)
-		r.ShardedWorld.WallSecondsS1 = s1Wall
-		r.ShardedWorld.WallSecondsSN = sNWall
-		if sNWall > 0 {
-			r.ShardedWorld.Speedup = s1Wall / sNWall
-		}
-		r.ShardedWorld.Identical = s1Res == sNRes
-		if !r.ShardedWorld.Identical {
-			fmt.Fprintf(os.Stderr, "enginebench: sharded world diverged: shards=1 %+v vs shards=%d %+v\n",
-				s1Res, *shards, sNRes)
-			os.Exit(1)
-		}
-		if runtime.NumCPU() < *shards {
-			r.ShardedWorld.Note = fmt.Sprintf(
-				"host has %d CPU(s) for %d shards: goroutines time-slice, so this ratio measures heap splitting, not parallel speedup",
-				runtime.NumCPU(), *shards)
-		} else {
-			r.ShardedWorld.Note = "shards ran on dedicated CPUs"
-		}
+	// The sharded world is one world, not the figure suite: it runs with or
+	// without -nofigures.
+	const ranks, size, iters = 64, 4096, 8
+	r.ShardedWorld.Workload = "mxoe alltoall, leaf-spine 8x2, conservative parallel runtime (internal/pdes)"
+	r.ShardedWorld.Ranks = ranks
+	r.ShardedWorld.Shards = *shards
+	s1Wall, s1Res := timeSharded(1, ranks, size, iters)
+	sNWall, sNRes := timeSharded(*shards, ranks, size, iters)
+	r.ShardedWorld.WallSecondsS1 = s1Wall
+	r.ShardedWorld.WallSecondsSN = sNWall
+	if sNWall > 0 {
+		r.ShardedWorld.Speedup = s1Wall / sNWall
+	}
+	r.ShardedWorld.Identical = s1Res == sNRes
+	if !r.ShardedWorld.Identical {
+		fmt.Fprintf(os.Stderr, "enginebench: sharded world diverged: shards=1 %+v vs shards=%d %+v\n",
+			s1Res, *shards, sNRes)
+		os.Exit(1)
+	}
+	if runtime.NumCPU() < *shards {
+		r.ShardedWorld.Note = fmt.Sprintf(
+			"host has %d CPU(s) for %d shards: goroutines time-slice, so this ratio measures heap splitting, not parallel speedup",
+			runtime.NumCPU(), *shards)
+	} else {
+		r.ShardedWorld.Note = "shards ran on dedicated CPUs"
 	}
 
 	var w io.Writer = os.Stdout

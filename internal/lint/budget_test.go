@@ -40,16 +40,18 @@ func TestAllowDirectiveBudget(t *testing.T) {
 		}
 	}
 	// The audited-exception budget. The bulk is the engine and fabric hot
-	// paths: nogoroutine's coroutine rendezvous, noalloc's amortized-growth
-	// and callback-dispatch points, tracekeys' once-per-run indexed gauge
-	// names. The staged-fabric additions (fabric/sharding.go, the engine's
-	// RunBefore epoch loop) mirror the pre-existing Send/Run exceptions:
-	// amortized free-list and pending-list growth, the DropFn and handoff
-	// dispatch points, and the duplicated event-loop body.
+	// paths: noalloc's amortized-growth, callback-dispatch and coroutine-
+	// switch points, tracekeys' once-per-run indexed gauge names. The
+	// staged-fabric additions (fabric/sharding.go, the engine's RunBefore
+	// epoch loop) mirror the pre-existing Send/Run exceptions: amortized
+	// free-list and pending-list growth, the DropFn and handoff dispatch
+	// points, and the duplicated event-loop body. nogoroutine has no
+	// exceptions: processes are runtime coroutines (iter.Pull), so the sim
+	// domain contains no go statement and no channel operation.
 	want := map[string]int{
 		"maporder":    1,
-		"noalloc":     18,
-		"nogoroutine": 7,
+		"noalloc":     20,
+		"nogoroutine": 0,
 		"sharedstate": 1,
 		"tracekeys":   9,
 	}

@@ -3,12 +3,9 @@
 //
 // The simulation engine executes exactly one cooperative process at a
 // time; determinism follows from that total order. A stray `go` statement
-// or channel operation reintroduces scheduler nondeterminism. The one
-// legitimate use is the engine's own coroutine machinery
-// (internal/sim/engine.go and proc.go), which carries
-// //simlint:allow nogoroutine directives explaining why each operation is
-// safe (every handoff is strictly rendezvous: exactly one goroutine is
-// runnable at any instant).
+// or channel operation reintroduces scheduler nondeterminism. The engine
+// itself needs neither: its processes are runtime coroutines (iter.Pull)
+// that switch directly to and from the engine loop.
 package nogoroutine
 
 import (

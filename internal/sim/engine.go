@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 
@@ -57,9 +58,9 @@ func eventLess(a, b *Event) bool {
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
-// engines with NewEngine. An Engine must only be used from a single OS
-// thread of control: the goroutine that calls Run plus the cooperative
-// processes it dispatches (which never run concurrently with each other).
+// engines with NewEngine. An Engine must only be used from a single thread
+// of control: the goroutine that calls Run plus the process coroutines it
+// switches into (which never run concurrently with it or with each other).
 //
 // The event queue is a monomorphic indexed 4-ary min-heap keyed on
 // (time, seq): no interface boxing, sift depth log4 n, and every node knows
@@ -266,8 +267,8 @@ func (e *Engine) AtArg(at Time, fn func(any), arg any) {
 // scheduleProc queues p's pre-bound dispatch event at now+after. Every
 // process owns exactly one dispatch node, reused in place across parks, so
 // the park→unpark cycle allocates nothing. A parked process has at most one
-// dispatch pending by construction; a second one would dispatch into a
-// running process and deadlock the rendezvous, so it is a fatal bug.
+// dispatch pending by construction; a second one would resume a coroutine
+// that is already running, so it is a fatal bug.
 //
 //simlint:noalloc
 func (e *Engine) scheduleProc(p *Proc, after Time) {
@@ -497,7 +498,7 @@ func (e *Engine) fail(err error) {
 	e.stopped = true
 }
 
-// Close terminates every live process by unwinding its goroutine, then marks
+// Close terminates every live process by unwinding its coroutine, then marks
 // the engine unusable. It must not be called from process context. Close is
 // idempotent.
 func (e *Engine) Close() {
@@ -508,7 +509,7 @@ func (e *Engine) Close() {
 		panic("sim: Close called from process context")
 	}
 	defer func() { e.closed = true }()
-	// Parked and not-yet-started processes are all blocked on <-p.resume.
+	// Parked and not-yet-started processes are all suspended coroutines.
 	// Killing dispatches them once with the killed flag set, which makes
 	// their next (or current) yield point panic with errProcKilled; the
 	// recover in the proc trampoline swallows it. Snapshot and sort once —
@@ -545,8 +546,7 @@ func (e *Engine) dispatch(p *Proc) {
 	prev := e.current
 	e.current = p
 	e.cUnparked.Inc()
-	p.resume <- struct{}{} //simlint:allow nogoroutine engine-side half of the coroutine rendezvous; exactly one goroutine is runnable at any instant
-	<-p.yielded            //simlint:allow nogoroutine blocks the engine until the proc parks again, preserving the single-threaded total order
+	p.next() //simlint:allow noalloc coroutine switch into the proc until it parks or ends; allocation-free in steady state (TestSleepResumeZeroAlloc)
 	e.current = prev
 	if p.dead {
 		delete(e.procs, p)
@@ -558,20 +558,20 @@ func (e *Engine) dispatch(p *Proc) {
 // It is safe to call from engine context or process context.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		e:       e,
-		id:      e.seq, // unique, monotone: reuse the event sequence counter
-		name:    name,
-		resume:  make(chan struct{}),
-		yielded: make(chan struct{}),
+		e:    e,
+		id:   e.seq, // unique, monotone: reuse the event sequence counter
+		name: name,
 	}
 	p.ev.proc = p
 	p.ev.eng = e
 	p.ev.index = -1
 	e.procs[p] = struct{}{}
 	e.cProcs.Inc()
-	//simlint:allow nogoroutine the one legitimate spawn: each Proc needs its own stack, and the rendezvous in dispatch serializes it with the engine
-	go func() {
-		<-p.resume //simlint:allow nogoroutine proc-side half of the coroutine rendezvous; parked until the engine dispatches it
+	// The coroutine body runs on the first dispatch. It never lets a panic
+	// escape into next: failures are recorded on the engine, and a kill
+	// unwinds to here and ends the body normally.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		func() {
 			defer func() {
 				if r := recover(); r != nil && r != errProcKilled {
@@ -586,8 +586,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		if p.done != nil {
 			p.done.fire()
 		}
-		p.yielded <- struct{}{} //simlint:allow nogoroutine final yield back to the engine when the proc body returns
-	}()
+	})
 	e.scheduleProc(p, 0)
 	return p
 }

@@ -2,23 +2,26 @@ package sim
 
 import "errors"
 
-// errProcKilled unwinds a process goroutine when the engine is closed.
+// errProcKilled unwinds a process coroutine when the engine is closed.
 var errProcKilled = errors.New("sim: proc killed")
 
 // Proc is a cooperative simulation process. Exactly one Proc executes at any
 // instant; all its blocking methods yield control back to the engine and
 // resume when the corresponding virtual-time condition holds.
 //
-// A Proc must only be used by the goroutine the engine created for it.
+// A Proc is a Go runtime coroutine (iter.Pull): it has its own stack, but
+// control passes between the engine and the process by direct switches, never
+// through the scheduler, so no two of them ever run at once. A Proc must only
+// be used from its own process function.
 type Proc struct {
-	e       *Engine
-	id      uint64
-	name    string
-	resume  chan struct{}
-	yielded chan struct{}
-	dead    bool
-	killed  bool
-	done    *Completion
+	e      *Engine
+	id     uint64
+	name   string
+	next   func() (struct{}, bool) // resumes the coroutine; returns when it parks or ends
+	yield  func(struct{}) bool     // suspends the coroutine back into next
+	dead   bool
+	killed bool
+	done   *Completion
 
 	// ev is the process's pre-bound dispatch event: Sleep, Yield and unpark
 	// push this one node (with a fresh sequence number) instead of
@@ -54,8 +57,7 @@ func (p *Proc) Done() *Completion {
 //simlint:noalloc
 func (p *Proc) park() {
 	p.e.cParked.Inc()
-	p.yielded <- struct{}{} //simlint:allow nogoroutine proc-side yield of the coroutine rendezvous; hands control back to dispatch
-	<-p.resume              //simlint:allow nogoroutine parks until dispatch resumes this proc; never concurrent with the engine
+	p.yield(struct{}{}) //simlint:allow noalloc coroutine switch back into dispatch; allocation-free in steady state (TestSleepResumeZeroAlloc)
 	if p.killed {
 		panic(errProcKilled)
 	}

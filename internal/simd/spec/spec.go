@@ -67,13 +67,24 @@ type Spec struct {
 	// Custom is a single-workload experiment. Mutually exclusive with
 	// Experiment.
 	Custom *Custom `json:"custom,omitempty"`
-	// Shards is an EXECUTION HINT, not part of the experiment: it asks the
-	// worker to split each world across this many engines via the
-	// conservative parallel runtime (internal/pdes), whose whole contract
-	// is byte-identical output at any shard count. Because the result
-	// cannot depend on it, Canonical zeroes it before marshalling — two
-	// submissions differing only in shards share one cache entry.
+	// Shards asks the worker to split each world across this many engines
+	// via the conservative parallel runtime (internal/pdes). Among N >= 1
+	// the count is an execution hint: output is byte-identical at any N
+	// (the runtime's whole contract). But 0 selects the legacy
+	// single-engine fabric path, a different model whose tables differ
+	// from the staged path's. Canonical therefore keeps the fabric mode and
+	// drops the count: shards 1, 4 and 8 share one cache entry, shards 0
+	// has its own.
 	Shards int `json:"shards,omitempty"`
+}
+
+// canonicalSpec is the hashed form of a Spec. Fabric is "staged" when the
+// spec runs on the sharded (staged) fabric path and empty, hence absent,
+// on the legacy path, so legacy specs keep the canonical bytes they had
+// before the marker existed.
+type canonicalSpec struct {
+	Spec
+	Fabric string `json:"fabric,omitempty"`
 }
 
 // Custom is a single workload on one network stack.
@@ -267,11 +278,16 @@ func (s Spec) Canonical() ([]byte, error) {
 	if err := c.Normalize(); err != nil {
 		return nil, err
 	}
-	// Execution hints never reach the canonical form: the staged runtime
-	// guarantees shard-count-independent results, so hashing the hint
-	// would split the cache across entries holding identical bytes.
-	c.Shards = 0
-	return json.Marshal(c)
+	// The shard count never reaches the canonical form: the staged runtime
+	// guarantees results independent of it, so hashing it would split the
+	// cache across entries holding identical bytes. The fabric mode it
+	// selects does change the results, so it is hashed as a marker.
+	cs := canonicalSpec{Spec: c}
+	if c.Shards >= 1 {
+		cs.Fabric = "staged"
+	}
+	cs.Shards = 0
+	return json.Marshal(cs)
 }
 
 // Hash returns the hex SHA-256 of the canonical encoding.

@@ -153,21 +153,31 @@ func TestKeySeparatesTuple(t *testing.T) {
 	}
 }
 
-// The shards field is an execution hint: the staged runtime guarantees
-// byte-identical results at any shard count, so the hint must never enter
-// the canonical form or split the cache.
+// The shards field selects the fabric path as well as the shard count:
+// shards 0 runs the legacy single-engine fabric, any N >= 1 the staged
+// path, and the two produce different tables. The staged runtime's output
+// is byte-identical at any N >= 1, so the count itself must not split the
+// cache, but the mode must.
 func TestShardsHintExcludedFromHash(t *testing.T) {
-	plain := mustHash(t, `{"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`)
-	for _, js := range []string{
-		`{"shards":1,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
-		`{"shards":4,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
-		`{"shards":8,"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}}`,
+	for _, body := range []string{
+		`"custom":{"net":"mxoe","benchmark":"alltoall","ranks":8}`,
+		`"experiment":"congestion","scale":2`,
 	} {
-		if h := mustHash(t, js); h != plain {
-			t.Errorf("shards hint entered the hash: %s hashed %s, hint-free spec %s", js, h, plain)
+		legacy := mustHash(t, `{`+body+`}`)
+		if h := mustHash(t, `{"shards":0,`+body+`}`); h != legacy {
+			t.Errorf("explicit shards 0 hashed %s, omitted shards %s", h, legacy)
+		}
+		staged := mustHash(t, `{"shards":1,`+body+`}`)
+		if staged == legacy {
+			t.Errorf("{%s}: shards 1 (staged fabric) and shards 0 (legacy fabric) share a cache entry", body)
+		}
+		for _, n := range []string{"4", "8"} {
+			if h := mustHash(t, `{"shards":`+n+`,`+body+`}`); h != staged {
+				t.Errorf("{%s}: shards %s hashed %s, shards 1 %s: the shard count split the cache", body, n, h, staged)
+			}
 		}
 	}
-	// The canonical bytes themselves must not carry the hint either.
+	// The canonical bytes carry the fabric mode, never the count.
 	s, err := Parse([]byte(`{"shards":4,"experiment":"fig1"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +189,11 @@ func TestShardsHintExcludedFromHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "shards") {
-		t.Errorf("canonical form %s mentions shards", b)
+	if strings.Contains(string(b), "shards") || !strings.Contains(string(b), `"fabric":"staged"`) {
+		t.Errorf("canonical form %s should carry the staged marker and no shard count", b)
+	}
+	if b, err := (Spec{Experiment: "fig1"}).Canonical(); err != nil || string(b) != `{"experiment":"fig1","scale":1}` {
+		t.Errorf("legacy canonical form changed: %s, %v", b, err)
 	}
 	if _, err := Parse([]byte(`{"shards":-1,"experiment":"fig1"}`)); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("negative shards accepted: %v", err)
