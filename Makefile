@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck clean
+.PHONY: all build test vet fmtcheck lint lintselftest race traceguard verify figures calibrate bench benchsmoke jobscheck topocheck pdescheck congestioncheck breakdowncheck tracetoolcheck simdcheck clean
 
 all: verify
 
@@ -15,6 +15,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails on any tracked Go file that is not gofmt-clean. It lists
+# files through git, so build output such as .bench_build/ is never scanned.
+fmtcheck:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # simlint mechanically enforces the determinism contract (virtual time only,
 # no map-order dependence, no ad-hoc concurrency, unit-carrying durations,
@@ -43,7 +48,7 @@ race:
 traceguard:
 	$(GO) test -run TestTraceOverhead ./internal/trace/...
 
-verify: build test vet lint lintselftest race traceguard calibrate
+verify: build test vet fmtcheck lint lintselftest race traceguard calibrate
 
 figures:
 	$(GO) run ./cmd/figures

@@ -119,6 +119,8 @@ func main() {
 		"sleep_cycle":         measure(benchSleepCycle),
 		"completion_handoff":  measure(benchCompletionHandoff),
 		"schedule_cancel":     measure(benchScheduleCancel),
+		"spawn_short":         measure(benchSpawnShort),
+		"serve_cycle":         measure(benchServeCycle),
 	}
 	r.BaselinePreOverhaul = baseline
 	r.SpeedupVsBaseline = map[string]float64{}
@@ -323,6 +325,51 @@ func benchScheduleCancel(b *testing.B) {
 	tick = func() {
 		ev := e.Schedule(sim.Millisecond, driver)
 		ev.Cancel()
+		n++
+		if n < b.N {
+			e.After(sim.Nanosecond, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(sim.Nanosecond, tick)
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func benchSpawnShort(b *testing.B) {
+	e := sim.NewEngine()
+	short := func(*sim.Proc) {}
+	n := 0
+	var tick func()
+	tick = func() {
+		e.Go("short", short)
+		n++
+		if n < b.N {
+			e.After(sim.Nanosecond, tick)
+		}
+	}
+	e.Go("warm", short) // fill the coroutine pool before timing
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(sim.Nanosecond, tick)
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func benchServeCycle(b *testing.B) {
+	e := sim.NewEngine()
+	q := sim.NewQueue[int](e, "serve")
+	q.Serve("server", func(*sim.Proc, int) {})
+	n := 0
+	var tick func()
+	tick = func() {
+		q.Put(n)
 		n++
 		if n < b.N {
 			e.After(sim.Nanosecond, tick)

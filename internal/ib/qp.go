@@ -77,6 +77,8 @@ type QP struct {
 	rxQ    *sim.Queue[*packet]
 	sendQ  *sim.Queue[verbs.WR]
 
+	readRespName string // name of the RDMA Read responder processes
+
 	recvQ []verbs.WR
 	early []*inbound
 	cur   *inbound
@@ -93,20 +95,15 @@ func (h *HCA) newQP() *QP {
 		rxQ:    sim.NewQueue[*packet](h.eng, h.name+"/rxq"),
 		sendQ:  sim.NewQueue[verbs.WR](h.eng, h.name+"/sq"),
 	}
+	name := fmt.Sprintf("%s/qp%d", h.name, q.qpn)
+	q.readRespName = name + "/read-resp"
 	h.qps = append(h.qps, q)
-	h.eng.Go(fmt.Sprintf("%s/qp%d/rx", h.name, q.qpn), q.rxLoop)
-	h.eng.Go(fmt.Sprintf("%s/qp%d/tx", h.name, q.qpn), q.txLoop)
+	q.rxQ.Serve(name+"/rx", q.receive)
+	// The send queue's server executes work requests strictly in order, as
+	// the RC send queue requires: packets of consecutive messages never
+	// interleave within one QP.
+	q.sendQ.Serve(name+"/tx", q.execute)
 	return q
-}
-
-// txLoop executes send work requests strictly in order, as the RC send
-// queue requires: packets of consecutive messages never interleave within
-// one QP.
-func (q *QP) txLoop(p *sim.Proc) {
-	for {
-		wr := q.sendQ.Get(p)
-		q.execute(p, wr)
-	}
 }
 
 // QPN implements verbs.QP.
@@ -326,49 +323,46 @@ func (q *QP) emit(pk *packet) sim.Time {
 	})
 }
 
-// rxLoop is the per-QP receive process; the capacity-1 receive processor is
-// shared across all QPs of the HCA.
-func (q *QP) rxLoop(p *sim.Proc) {
+// receive is the per-QP receive process, served once per packet; the
+// capacity-1 receive processor is shared across all QPs of the HCA.
+func (q *QP) receive(p *sim.Proc, pk *packet) {
 	h := q.hca
-	for {
-		pk := q.rxQ.Get(p)
-		switch pk.kind {
-		case pktAck:
-			h.cAcksRx.Inc()
-			t0 := h.eng.Now()
-			h.rxEngine.Use(p, h.cfg.AckTime)
-			ackRef := trace.RefNone
-			if tr := h.eng.Trc(); tr.Enabled() {
-				ackRef = tr.CompleteR(h.name, "rx-ack", int64(t0), int64(h.eng.Now()),
-					trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
-			}
-			m := pk.ackFor
-			if m.wr.Op == verbs.OpWrite || m.wr.Op == verbs.OpSend {
-				// The ACK returns to the QP that sent the message.
-				orig := h.qps[m.qpn]
-				orig.scq.Push(verbs.Completion{WRID: m.wr.ID, Op: m.wr.Op, Len: m.wr.Len, At: h.eng.Now(), Cause: ackRef})
-			}
-		case pktReadReq:
-			h.cReadReqs.Inc()
-			t0 := h.eng.Now()
-			h.rxEngine.Use(p, h.cfg.RxPktTime)
-			reqRef := trace.RefNone
-			if tr := h.eng.Trc(); tr.Enabled() {
-				reqRef = tr.CompleteR(h.name, "rx-pkt", int64(t0), int64(h.eng.Now()),
-					trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
-			}
-			rd := pk.rd
-			region, ok := h.reg.Lookup(rd.srcKey)
-			if !ok {
-				panic(fmt.Sprintf("ib %s: read request for unknown rkey %d", h.name, rd.srcKey))
-			}
-			h.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", h.name, q.qpn), func(rp *sim.Proc) {
-				q.stream(rp, verbs.OpWrite, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, true, reqRef)
-			})
-		case pktData:
-			h.cPktsRx.Inc()
-			q.handleData(p, pk)
+	switch pk.kind {
+	case pktAck:
+		h.cAcksRx.Inc()
+		t0 := h.eng.Now()
+		h.rxEngine.Use(p, h.cfg.AckTime)
+		ackRef := trace.RefNone
+		if tr := h.eng.Trc(); tr.Enabled() {
+			ackRef = tr.CompleteR(h.name, "rx-ack", int64(t0), int64(h.eng.Now()),
+				trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
 		}
+		m := pk.ackFor
+		if m.wr.Op == verbs.OpWrite || m.wr.Op == verbs.OpSend {
+			// The ACK returns to the QP that sent the message.
+			orig := h.qps[m.qpn]
+			orig.scq.Push(verbs.Completion{WRID: m.wr.ID, Op: m.wr.Op, Len: m.wr.Len, At: h.eng.Now(), Cause: ackRef})
+		}
+	case pktReadReq:
+		h.cReadReqs.Inc()
+		t0 := h.eng.Now()
+		h.rxEngine.Use(p, h.cfg.RxPktTime)
+		reqRef := trace.RefNone
+		if tr := h.eng.Trc(); tr.Enabled() {
+			reqRef = tr.CompleteR(h.name, "rx-pkt", int64(t0), int64(h.eng.Now()),
+				trace.Cause(pk.cause), trace.I64("qpn", int64(q.qpn)))
+		}
+		rd := pk.rd
+		region, ok := h.reg.Lookup(rd.srcKey)
+		if !ok {
+			panic(fmt.Sprintf("ib %s: read request for unknown rkey %d", h.name, rd.srcKey))
+		}
+		h.eng.Go(q.readRespName, func(rp *sim.Proc) {
+			q.stream(rp, verbs.OpWrite, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, true, reqRef)
+		})
+	case pktData:
+		h.cPktsRx.Inc()
+		q.handleData(p, pk)
 	}
 }
 

@@ -80,6 +80,8 @@ type QP struct {
 	sendQ  *sim.Queue[verbs.WR]
 	emitQ  *sim.Queue[*fetchedWR]
 
+	readRespName string // name of the RDMA Read responder processes
+
 	recvQ []verbs.WR // posted receive work requests, FIFO
 	early []*inbound // completed untagged messages with no posted recv
 	cur   *inbound   // in-assembly untagged message
@@ -101,16 +103,19 @@ type QP struct {
 }
 
 func (r *RNIC) newQP() *QP {
+	name := fmt.Sprintf("%s/qp%d", r.name, len(r.qps))
 	q := &QP{
 		rnic:   r,
 		qpn:    len(r.qps),
-		conn:   tcpsim.NewConn(r.eng, fmt.Sprintf("%s/qp%d", r.name, len(r.qps))),
+		conn:   tcpsim.NewConn(r.eng, name),
 		scq:    verbs.NewCQ(r.eng, r.name+"/scq", r.cfg.PollDetect),
 		rcq:    verbs.NewCQ(r.eng, r.name+"/rcq", r.cfg.PollDetect),
 		places: sim.NewQueue[verbs.Placement](r.eng, r.name+"/placements"),
 		rxQ:    sim.NewQueue[rxSeg](r.eng, r.name+"/rxq"),
 		sendQ:  sim.NewQueue[verbs.WR](r.eng, r.name+"/sq"),
 		emitQ:  sim.NewQueue[*fetchedWR](r.eng, r.name+"/emitq"),
+
+		readRespName: name + "/read-resp",
 	}
 	q.conn.MSS = r.cfg.MSS
 	q.conn.WindowBytes = r.cfg.TCPWindow
@@ -131,9 +136,9 @@ func (r *RNIC) newQP() *QP {
 		}
 	}
 	r.qps = append(r.qps, q)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/rx", r.name, q.qpn), q.rxLoop)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/fetch", r.name, q.qpn), q.fetchLoop)
-	r.eng.Go(fmt.Sprintf("%s/qp%d/emit", r.name, q.qpn), q.emitLoop)
+	q.rxQ.Serve(name+"/rx", q.receive)
+	q.sendQ.Serve(name+"/fetch", q.fetchWR)
+	q.emitQ.Serve(name+"/emit", q.emitWR)
 	return q
 }
 
@@ -144,49 +149,44 @@ type fetchedWR struct {
 	msg *txMsg
 }
 
-// fetchLoop and emitLoop form the NE010's pipelined WQE path: descriptor
-// and payload fetches of the next message overlap protocol processing of
-// the current one (the pipelined protocol engine / transaction switch),
-// while emission order per connection stays strict. This is a deliberate
-// architectural contrast with internal/ib, whose processor-based HCA
-// fetches and executes one WQE at a time — the difference shows up in the
-// paper's LogP gap (Fig. 5) and multi-connection (Fig. 2) results.
-func (q *QP) fetchLoop(p *sim.Proc) {
+// fetchWR and emitWR, the servers of the send and emit queues, form the
+// NE010's pipelined WQE path: descriptor and payload fetches of the next
+// message overlap protocol processing of the current one (the pipelined
+// protocol engine / transaction switch), while emission order per
+// connection stays strict. This is a deliberate architectural contrast with
+// internal/ib, whose processor-based HCA fetches and executes one WQE at a
+// time — the difference shows up in the paper's LogP gap (Fig. 5) and
+// multi-connection (Fig. 2) results.
+func (q *QP) fetchWR(p *sim.Proc, wr verbs.WR) {
 	r := q.rnic
-	for {
-		wr := q.sendQ.Get(p)
-		t0 := r.eng.Now()
-		r.pcie.Read(p, 64) // descriptor fetch
-		if tr := r.eng.Trc(); tr.Enabled() {
-			wr.Cause = tr.CompleteR(r.name, "wqe-fetch", int64(t0), int64(r.eng.Now()),
-				trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
-		}
-		f := &fetchedWR{wr: wr}
-		switch wr.Op {
-		case verbs.OpWrite, verbs.OpSend:
-			f.msg = &txMsg{wr: wr, cause: wr.Cause}
-			maxP, _ := q.segParams(wr.Op)
-			f.msg.segs = (wr.Len + maxP - 1) / maxP
-		case verbs.OpRead:
-			// The read request carries no local payload.
-		default:
-			panic(fmt.Sprintf("iwarp %s: bad op %v on send queue", r.name, wr.Op))
-		}
-		q.emitQ.Put(f)
+	t0 := r.eng.Now()
+	r.pcie.Read(p, 64) // descriptor fetch
+	if tr := r.eng.Trc(); tr.Enabled() {
+		wr.Cause = tr.CompleteR(r.name, "wqe-fetch", int64(t0), int64(r.eng.Now()),
+			trace.Cause(wr.Cause), trace.I64("qpn", int64(q.qpn)))
 	}
+	f := &fetchedWR{wr: wr}
+	switch wr.Op {
+	case verbs.OpWrite, verbs.OpSend:
+		f.msg = &txMsg{wr: wr, cause: wr.Cause}
+		maxP, _ := q.segParams(wr.Op)
+		f.msg.segs = (wr.Len + maxP - 1) / maxP
+	case verbs.OpRead:
+		// The read request carries no local payload.
+	default:
+		panic(fmt.Sprintf("iwarp %s: bad op %v on send queue", r.name, wr.Op))
+	}
+	q.emitQ.Put(f)
 }
 
-func (q *QP) emitLoop(p *sim.Proc) {
-	for {
-		f := q.emitQ.Get(p)
-		switch f.wr.Op {
-		case verbs.OpWrite:
-			q.emitSegments(p, segTagged, f.wr.Local, f.wr.LocalOff, f.wr.Len, f.wr.RemoteKey, f.wr.RemoteOff, f.msg, nil, f.msg.cause)
-		case verbs.OpSend:
-			q.emitSegments(p, segUntagged, f.wr.Local, f.wr.LocalOff, f.wr.Len, 0, 0, f.msg, nil, f.msg.cause)
-		case verbs.OpRead:
-			q.sendReadRequest(p, f.wr)
-		}
+func (q *QP) emitWR(p *sim.Proc, f *fetchedWR) {
+	switch f.wr.Op {
+	case verbs.OpWrite:
+		q.emitSegments(p, segTagged, f.wr.Local, f.wr.LocalOff, f.wr.Len, f.wr.RemoteKey, f.wr.RemoteOff, f.msg, nil, f.msg.cause)
+	case verbs.OpSend:
+		q.emitSegments(p, segUntagged, f.wr.Local, f.wr.LocalOff, f.wr.Len, 0, 0, f.msg, nil, f.msg.cause)
+	case verbs.OpRead:
+		q.sendReadRequest(p, f.wr)
 	}
 }
 
@@ -442,84 +442,82 @@ type rxSeg struct {
 	cause   trace.Ref
 }
 
-// rxLoop is the per-QP receive process: it serializes TCP input per
-// connection while sharing the RNIC's pipelined engine across QPs.
-func (q *QP) rxLoop(p *sim.Proc) {
+// receive is the per-QP receive process, served once per segment: it
+// serializes TCP input per connection while sharing the RNIC's pipelined
+// engine across QPs.
+func (q *QP) receive(p *sim.Proc, rx rxSeg) {
 	r := q.rnic
-	for {
-		rx := q.rxQ.Get(p)
-		tseg := rx.seg
-		if tseg.Len == 0 {
-			// Pure ACK: cheap engine pass, may open the TX window. A corrupt
-			// one fails the TCP checksum and is discarded after the same
-			// engine pass; the sender's RTO covers the lost window update.
-			r.cAcksRx.Inc()
-			t0 := r.eng.Now()
-			r.rxEngine.Use(p, r.cfg.RxAckTime)
-			if rx.corrupt {
-				r.cCrcRejects.Inc()
-				continue
-			}
-			if tr := r.eng.Trc(); tr.Enabled() {
-				q.ackCause = tr.CompleteR(r.name, "rx-ack", int64(t0), int64(r.eng.Now()),
-					trace.Cause(rx.cause), trace.I64("qpn", int64(q.qpn)))
-			}
-			if rx.ece {
-				// The peer saw our data cross a congested queue: apply the
-				// TCP cut (once per window) and, when it takes, the DCQCN
-				// rate cut. Reacting before Input keeps the cut sized to
-				// the flight the mark belongs to.
-				r.cECNEchoes.Inc()
-				if q.conn.ECNCut() && q.limiter != nil {
-					q.limiter.OnCongestion(r.eng.Now())
-					r.cRateCuts.Inc()
-				}
-			}
-			q.conn.Input(tseg)
-			continue
-		}
-		r.cSegsRx.Inc()
+	tseg := rx.seg
+	if tseg.Len == 0 {
+		// Pure ACK: cheap engine pass, may open the TX window. A corrupt
+		// one fails the TCP checksum and is discarded after the same
+		// engine pass; the sender's RTO covers the lost window update.
+		r.cAcksRx.Inc()
 		t0 := r.eng.Now()
-		r.rxSched.Use(p, r.cfg.SchedTime)
-		r.rxEngine.Acquire(p, 1)
-		p.Sleep(r.cfg.RxSegTime)
-		r.rxEngine.Release(1)
-		var rxRef trace.Ref
-		if tr := r.eng.Trc(); tr.Enabled() {
-			rxRef = tr.CompleteR(r.name, "rx-seg", int64(t0), int64(r.eng.Now()),
-				trace.Cause(rx.cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(tseg.Len)))
-		}
+		r.rxEngine.Use(p, r.cfg.RxAckTime)
 		if rx.corrupt {
-			// MPA CRC reject: the engine has already paid the receive pass
-			// that computed the CRC; the FPDU is discarded without reaching
-			// DDP placement or the TOE, so no ACK advances and the sender's
-			// go-back-N retransmission recovers the stream.
 			r.cCrcRejects.Inc()
-			if tr := r.eng.Trc(); tr.Enabled() {
-				tr.Instant(r.name, "mpa-crc-reject", trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(tseg.Len)))
-			}
-			continue
+			return
 		}
-		seg := tseg
-		ecnMarked := rx.ecn
-		r.eng.After(r.cfg.RxPipeDelay, func() {
-			// Completions raised from Input's ACK processing (piggybacked
-			// acks) and the ACK we send back are both enabled by this
-			// segment's rx pass.
-			q.ackCause = rxRef
-			recs, ack, need := q.conn.Input(seg)
-			if need {
-				q.txCause = rxRef
-				// Echo a fabric ECN mark back on the ACK (DCTCP-style
-				// per-segment echo; the sender's cut hygiene is one per
-				// window).
-				q.emit(ack, ecnMarked)
+		if tr := r.eng.Trc(); tr.Enabled() {
+			q.ackCause = tr.CompleteR(r.name, "rx-ack", int64(t0), int64(r.eng.Now()),
+				trace.Cause(rx.cause), trace.I64("qpn", int64(q.qpn)))
+		}
+		if rx.ece {
+			// The peer saw our data cross a congested queue: apply the
+			// TCP cut (once per window) and, when it takes, the DCQCN
+			// rate cut. Reacting before Input keeps the cut sized to
+			// the flight the mark belongs to.
+			r.cECNEchoes.Inc()
+			if q.conn.ECNCut() && q.limiter != nil {
+				q.limiter.OnCongestion(r.eng.Now())
+				r.cRateCuts.Inc()
 			}
-			for _, rec := range recs {
-				q.handleSeg(rec.Meta.(*ddpSeg), rxRef)
-			}
-		})
+		}
+		q.conn.Input(tseg)
+		return
 	}
+	r.cSegsRx.Inc()
+	t0 := r.eng.Now()
+	r.rxSched.Use(p, r.cfg.SchedTime)
+	r.rxEngine.Acquire(p, 1)
+	p.Sleep(r.cfg.RxSegTime)
+	r.rxEngine.Release(1)
+	var rxRef trace.Ref
+	if tr := r.eng.Trc(); tr.Enabled() {
+		rxRef = tr.CompleteR(r.name, "rx-seg", int64(t0), int64(r.eng.Now()),
+			trace.Cause(rx.cause), trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(tseg.Len)))
+	}
+	if rx.corrupt {
+		// MPA CRC reject: the engine has already paid the receive pass
+		// that computed the CRC; the FPDU is discarded without reaching
+		// DDP placement or the TOE, so no ACK advances and the sender's
+		// go-back-N retransmission recovers the stream.
+		r.cCrcRejects.Inc()
+		if tr := r.eng.Trc(); tr.Enabled() {
+			tr.Instant(r.name, "mpa-crc-reject", trace.I64("qpn", int64(q.qpn)), trace.I64("bytes", int64(tseg.Len)))
+		}
+		return
+	}
+	seg := tseg
+	ecnMarked := rx.ecn
+	r.eng.After(r.cfg.RxPipeDelay, func() {
+		// Completions raised from Input's ACK processing (piggybacked
+		// acks) and the ACK we send back are both enabled by this
+		// segment's rx pass.
+		q.ackCause = rxRef
+		recs, ack, need := q.conn.Input(seg)
+		if need {
+			q.txCause = rxRef
+			// Echo a fabric ECN mark back on the ACK (DCTCP-style
+			// per-segment echo; the sender's cut hygiene is one per
+			// window).
+			q.emit(ack, ecnMarked)
+		}
+		for _, rec := range recs {
+			q.handleSeg(rec.Meta.(*ddpSeg), rxRef)
+		}
+	})
 }
 
 // handleSeg places one arrived DDP segment; cause is the rx-engine pass that
@@ -607,7 +605,7 @@ func (q *QP) handleSeg(seg *ddpSeg, cause trace.Ref) {
 			panic(fmt.Sprintf("iwarp %s: read request for unknown STag %d", r.name, rd.srcKey))
 		}
 		// The responder RNIC streams the data back without host involvement.
-		r.eng.Go(fmt.Sprintf("%s/qp%d/read-resp", r.name, q.qpn), func(rp *sim.Proc) {
+		r.eng.Go(q.readRespName, func(rp *sim.Proc) {
 			q.sendData(rp, segTagged, region, rd.srcOff, rd.n, rd.sinkKey, rd.sinkOff, nil, rd.msg, cause)
 		})
 	}

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/sim"
@@ -187,21 +188,43 @@ func (m *Memory) Copy(p *sim.Proc, dst *Buffer, doff int, src *Buffer, soff int,
 	copy(dst.Slice(doff, n), src.Slice(soff, n))
 }
 
+// fillPeriod is the period of the Fill pattern: byte i holds
+// seed + byte(i*131), which depends on i mod 256 only.
+const fillPeriod = 256
+
 // Fill writes a deterministic pattern derived from seed into the buffer;
-// used by tests and benchmarks to verify end-to-end data integrity.
+// used by tests and benchmarks to verify end-to-end data integrity. It
+// writes one period byte by byte, then doubles the filled prefix with copy,
+// so large buffers fill at memmove speed.
 func (b *Buffer) Fill(seed byte) {
-	for i := range b.data {
-		b.data[i] = seed + byte(i*131)
+	d := b.data
+	n := min(len(d), fillPeriod)
+	for i := 0; i < n; i++ {
+		d[i] = seed + byte(i*131)
+	}
+	for done := n; done < len(d); done *= 2 {
+		copy(d[done:], d[:done])
 	}
 }
 
 // Equal reports whether [off, off+n) matches the same range pattern of a
-// Fill(seed) buffer.
+// Fill(seed) buffer. It builds the pattern's period once, starting at
+// off's phase, and compares the range against it chunk by chunk.
 func (b *Buffer) Equal(seed byte, off, n int) bool {
-	for i := off; i < off+n; i++ {
-		if b.data[i] != seed+byte(i*131) {
+	if n <= 0 {
+		return true
+	}
+	var pat [fillPeriod]byte
+	p := pat[:min(n, fillPeriod)]
+	for k := range p {
+		p[k] = seed + byte((off+k)*131)
+	}
+	for d := b.data[off : off+n]; len(d) > 0; {
+		c := min(len(d), len(p))
+		if !bytes.Equal(d[:c], p[:c]) {
 			return false
 		}
+		d = d[c:]
 	}
 	return true
 }

@@ -61,6 +61,61 @@ func TestFillEqual(t *testing.T) {
 	}
 }
 
+// refPattern is the Fill pattern written the straightforward way, one byte
+// at a time; Fill and Equal must agree with it exactly.
+func refPattern(seed byte, i int) byte { return seed + byte(i*131) }
+
+func TestFillEqualMatchReferenceLoop(t *testing.T) {
+	_, m := newMem(t)
+	const maxLen, maxOff = 1030, 300
+	for n := 0; n <= maxLen; n++ {
+		b := &Buffer{data: make([]byte, n)} // Alloc rejects n = 0
+		b.Fill(0xA5)
+		for i, v := range b.Bytes() {
+			if v != refPattern(0xA5, i) {
+				t.Fatalf("Fill of %d bytes: byte %d = %#x, want %#x", n, i, v, refPattern(0xA5, i))
+			}
+		}
+	}
+	b := m.Alloc(maxOff + maxLen)
+	const seed = 0x3C
+	b.Fill(seed)
+	d := b.Bytes()
+	for off := 0; off <= maxOff; off++ {
+		for n := 0; n <= maxLen; n++ {
+			if !b.Equal(seed, off, n) {
+				t.Fatalf("Equal(off %d, n %d) rejects a filled buffer", off, n)
+			}
+			if n > 0 && b.Equal(seed+1, off, n) {
+				t.Fatalf("Equal(off %d, n %d) accepts the wrong seed", off, n)
+			}
+			// A flipped byte at either end or on a period boundary.
+			for _, i := range []int{off, off + n - 1, off + n/2, off + fillPeriod, off + fillPeriod - 1} {
+				if i < off || i >= off+n {
+					continue
+				}
+				d[i] ^= 0x10
+				if b.Equal(seed, off, n) {
+					t.Fatalf("Equal(off %d, n %d) misses a flipped byte at %d", off, n, i)
+				}
+				d[i] ^= 0x10
+			}
+		}
+	}
+	// Every single flipped byte, on ranges that start at every phase of the
+	// period and span several periods.
+	for off := 0; off < fillPeriod; off += 37 {
+		n := 3*fillPeriod + off
+		for i := off; i < off+n; i++ {
+			d[i] ^= 0x01
+			if b.Equal(seed, off, n) {
+				t.Fatalf("Equal(off %d, n %d) misses a flipped byte at %d", off, n, i)
+			}
+			d[i] ^= 0x01
+		}
+	}
+}
+
 func TestCopyMovesBytesAndCharges(t *testing.T) {
 	eng, m := newMem(t)
 	src := m.Alloc(8192)

@@ -28,12 +28,13 @@ func mxBits(src, tag int) uint64 {
 
 // mxbind is the MPICH-MX shim: MPI matching maps directly onto MX matching.
 type mxbind struct {
-	p    *Process
-	tiny *mem.Buffer // zero-byte send/recv scratch
+	p       *Process
+	tiny    *mem.Buffer // zero-byte send/recv scratch
+	ackName string      // name of the Ssend ack helper process
 }
 
 func newMXBind(p *Process) *mxbind {
-	return &mxbind{p: p, tiny: p.host.Mem.Alloc(16)}
+	return &mxbind{p: p, tiny: p.host.Mem.Alloc(16), ackName: fmt.Sprintf("mpi/r%d/sync-ack", p.rank)}
 }
 
 func (b *mxbind) ep() *mx.Endpoint { return b.p.host.MX }
@@ -105,7 +106,7 @@ func (b *mxbind) irecv(pr *sim.Proc, req *Request, self trace.Ref) {
 			src := h.Src
 			tag := int(uint32(h.Match))
 			cause := h.Cause
-			p.eng().Go(fmt.Sprintf("mpi/r%d/sync-ack", p.rank), func(ap *sim.Proc) {
+			p.eng().Go(b.ackName, func(ap *sim.Proc) {
 				b.ep().IsendCause(ap, src, mxAckBit|mxBits(p.rank, tag), b.tiny, 0, 0, cause)
 			})
 		}

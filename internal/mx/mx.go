@@ -199,6 +199,10 @@ type Endpoint struct {
 	nic     *sim.Resource // the single NIC processor
 	regs    *mem.RegCache
 
+	// procs holds the names of the endpoint's per-message processes, built
+	// once instead of on every message.
+	procs struct{ tx, rts, cts, rndvData, lateMatch, lateArrival string }
+
 	posted     []*postedRecv
 	unexpected []*xfer
 	rxQ        *sim.Queue[*packet]
@@ -229,6 +233,12 @@ func NewEndpoint(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.
 		nic:     sim.NewResource(eng, name+"/nic-proc", 1),
 		rxQ:     sim.NewQueue[*packet](eng, name+"/rxq"),
 	}
+	e.procs.tx = name + "/tx"
+	e.procs.rts = name + "/rts"
+	e.procs.cts = name + "/cts"
+	e.procs.rndvData = name + "/rndv-data"
+	e.procs.lateMatch = name + "/late-match"
+	e.procs.lateArrival = name + "/late-arrival"
 	e.regs = mem.NewRegCache(mem.NewRegTable(eng, name+"/reg", cfg.RegCost), cfg.RegCacheSize)
 	e.port = net.Attach(e)
 	mreg := eng.Metrics()
@@ -240,7 +250,7 @@ func NewEndpoint(eng *sim.Engine, name string, hostMem *mem.Memory, net *fabric.
 	e.cNICWalk = mreg.Counter("mx.nic_posted_walk_entries")
 	e.cHostWalk = mreg.Counter("mx.host_unexpected_walk_entries")
 	e.cThrottle = mreg.Counter("mx.throttle_stalls")
-	eng.Go(name+"/rx", e.rxLoop)
+	e.rxQ.Serve(name+"/rx", e.receive)
 	return e
 }
 
@@ -304,13 +314,13 @@ func (e *Endpoint) eagerSend(p *sim.Proc, x *xfer, buf *mem.Buffer, off int) {
 		// Host PIO: descriptor and payload written straight to the NIC.
 		at := e.pcie.Doorbell(64 + x.n)
 		e.eng.At(at, func() {
-			e.eng.Go(e.name+"/tx", func(np *sim.Proc) { e.txPackets(np, x, false) })
+			e.eng.Go(e.procs.tx, func(np *sim.Proc) { e.txPackets(np, x, false) })
 		})
 		return
 	}
 	at := e.pcie.Doorbell(64)
 	e.eng.At(at, func() {
-		e.eng.Go(e.name+"/tx", func(np *sim.Proc) { e.txPackets(np, x, true) })
+		e.eng.Go(e.procs.tx, func(np *sim.Proc) { e.txPackets(np, x, true) })
 	})
 }
 
@@ -399,7 +409,7 @@ func (e *Endpoint) txPackets(np *sim.Proc, x *xfer, dma bool) {
 func (e *Endpoint) rndvSend(p *sim.Proc, x *xfer, buf *mem.Buffer, off int) {
 	at := e.pcie.Doorbell(64)
 	e.eng.At(at, func() {
-		e.eng.Go(e.name+"/rts", func(np *sim.Proc) {
+		e.eng.Go(e.procs.rts, func(np *sim.Proc) {
 			// Pin the source buffer in RegChunk pieces through the internal
 			// cache while the RTS travels.
 			e.pin(np, buf, off, x.n)
@@ -479,7 +489,7 @@ func (e *Endpoint) IrecvCause(p *sim.Proc, match, mask uint64, buf *mem.Buffer, 
 		for i, x := range e.unexpected {
 			if x.match&mask == match&mask {
 				e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
-				e.eng.Go(e.name+"/late-match", func(np *sim.Proc) {
+				e.eng.Go(e.procs.lateMatch, func(np *sim.Proc) {
 					e.consumeUnexpected(np, x, buf, off, n, h)
 				})
 				return
@@ -516,7 +526,7 @@ func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off,
 		}
 		// The descriptor matched but the payload is still arriving; finish
 		// the delivery asynchronously (mx_wait semantics).
-		e.eng.Go(e.name+"/late-arrival", func(np *sim.Proc) {
+		e.eng.Go(e.procs.lateArrival, func(np *sim.Proc) {
 			x.arrived.Wait(np)
 			finish(np)
 		})
@@ -526,7 +536,7 @@ func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off,
 	x.recvH = h
 	x.recvBuf = buf
 	x.recvOff = off
-	e.eng.Go(e.name+"/cts", func(np *sim.Proc) {
+	e.eng.Go(e.procs.cts, func(np *sim.Proc) {
 		e.pin(np, buf, off, x.n)
 		t0 := np.Now()
 		e.nic.Use(np, e.cfg.TxPktTime)
@@ -536,26 +546,23 @@ func (e *Endpoint) consumeUnexpected(p *sim.Proc, x *xfer, buf *mem.Buffer, off,
 	})
 }
 
-// rxLoop is the NIC receive processor.
-func (e *Endpoint) rxLoop(p *sim.Proc) {
-	for {
-		pk := e.rxQ.Get(p)
-		switch pk.kind {
-		case pktEager:
-			e.rxEager(p, pk)
-		case pktRTS:
-			e.rxRTS(p, pk)
-		case pktCTS:
-			e.rxCTS(p, pk)
-		case pktRndvData:
-			e.rxRndvData(p, pk)
-		case pktRndvAck:
-			t0 := p.Now()
-			e.nic.Use(p, e.cfg.RxPktTime)
-			pk.x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "rx-ack", int64(t0), int64(p.Now()),
-				trace.Cause(pk.cause))
-			pk.x.sendH.done.Fire()
-		}
+// receive is the NIC receive processor, served once per packet.
+func (e *Endpoint) receive(p *sim.Proc, pk *packet) {
+	switch pk.kind {
+	case pktEager:
+		e.rxEager(p, pk)
+	case pktRTS:
+		e.rxRTS(p, pk)
+	case pktCTS:
+		e.rxCTS(p, pk)
+	case pktRndvData:
+		e.rxRndvData(p, pk)
+	case pktRndvAck:
+		t0 := p.Now()
+		e.nic.Use(p, e.cfg.RxPktTime)
+		pk.x.sendH.Cause = e.eng.Trc().CompleteR(e.name, "rx-ack", int64(t0), int64(p.Now()),
+			trace.Cause(pk.cause))
+		pk.x.sendH.done.Fire()
 	}
 }
 
@@ -684,7 +691,7 @@ func (e *Endpoint) rxRTS(p *sim.Proc, pk *packet) {
 	x.recvH.Match = x.match
 	// The NIC pins the receive buffer and returns the CTS: no host on the
 	// critical path ("progression thread").
-	e.eng.Go(e.name+"/cts", func(np *sim.Proc) {
+	e.eng.Go(e.procs.cts, func(np *sim.Proc) {
 		e.pin(np, x.recvBuf, x.recvOff, x.n)
 		t0 := np.Now()
 		e.nic.Use(np, e.cfg.TxPktTime)
@@ -701,7 +708,7 @@ func (e *Endpoint) rxCTS(p *sim.Proc, pk *packet) {
 	e.nic.Use(p, e.cfg.RxPktTime)
 	x.txCause = e.eng.Trc().CompleteR(e.name, "rx-pkt", int64(t0), int64(p.Now()),
 		trace.Cause(pk.cause), trace.Str("pkt", "cts"))
-	e.eng.Go(e.name+"/rndv-data", func(np *sim.Proc) {
+	e.eng.Go(e.procs.rndvData, func(np *sim.Proc) {
 		ready := e.dmaRead(np.Now(), min(e.cfg.MTU, x.n))
 		for off := 0; off < x.n; off += e.cfg.MTU {
 			take := min(e.cfg.MTU, x.n-off)

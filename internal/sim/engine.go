@@ -72,7 +72,8 @@ type Engine struct {
 	free    []*Event // recycled owned nodes
 	chunk   []Event  // bump-allocation block for fresh nodes
 	live    int      // scheduled (uncancelled) events, kept for O(1) Pending
-	procs   map[*Proc]struct{}
+	procs   []*Proc  // live processes; Proc.slot is each one's index
+	idle    []*coro  // pooled coroutines whose last process has returned
 	current *Proc
 	stopped bool
 	closed  bool
@@ -94,7 +95,7 @@ type Engine struct {
 // NewEngine returns an empty engine at virtual time zero with a fresh
 // metrics registry and no tracer installed.
 func NewEngine() *Engine {
-	e := &Engine{procs: make(map[*Proc]struct{}), reg: metrics.NewRegistry()}
+	e := &Engine{reg: metrics.NewRegistry()}
 	e.cEvents = e.reg.Counter("sim.events_fired")
 	e.cProcs = e.reg.Counter("sim.procs_started")
 	e.cParked = e.reg.Counter("sim.procs_parked")
@@ -498,9 +499,16 @@ func (e *Engine) fail(err error) {
 	e.stopped = true
 }
 
-// Close terminates every live process by unwinding its coroutine, then marks
-// the engine unusable. It must not be called from process context. Close is
-// idempotent.
+// Close terminates every live process, then marks the engine unusable. It
+// must not be called from process context. Close is idempotent.
+//
+// Processes are ended in id order. One that holds a coroutine (parked,
+// sleeping, not yet started, or a queue server mid-item) is dispatched once
+// with the killed flag set, which makes its next (or current) yield point
+// panic with errProcKilled; the recover in the coroutine body swallows it.
+// A queue server between items holds no coroutine and is ended in place.
+// Afterwards the idle coroutines in the pool are stopped, so no coroutine
+// outlives the engine.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -509,33 +517,32 @@ func (e *Engine) Close() {
 		panic("sim: Close called from process context")
 	}
 	defer func() { e.closed = true }()
-	// Parked and not-yet-started processes are all suspended coroutines.
-	// Killing dispatches them once with the killed flag set, which makes
-	// their next (or current) yield point panic with errProcKilled; the
-	// recover in the proc trampoline swallows it. Snapshot and sort once —
-	// re-scanning the map for the minimum id per kill is O(procs^2), which
-	// multi-switch worlds with tens of thousands of QP processes turn from
-	// invisible into seconds of teardown per world. A dying proc cannot
-	// spawn or wake others (completions only schedule events), so the
-	// snapshot stays complete.
-	live := make([]*Proc, 0, len(e.procs))
-	for q := range e.procs {
-		live = append(live, q)
-	}
+	// Snapshot and sort once: a dying proc cannot spawn or wake others
+	// (completions only schedule events), so the snapshot stays complete.
+	live := append([]*Proc(nil), e.procs...)
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	for _, p := range live {
-		if _, ok := e.procs[p]; !ok {
+		if p.slot < 0 {
+			continue
+		}
+		if p.co == nil {
+			e.exit(p)
+			e.unlink(p)
 			continue
 		}
 		p.killed = true
 		e.dispatch(p)
-		if _, still := e.procs[p]; still {
+		if p.slot >= 0 {
 			panic(fmt.Sprintf("sim: proc %q survived kill", p.name))
 		}
 	}
 	if len(e.procs) > 0 {
 		panic(fmt.Sprintf("sim: %d procs survived Close", len(e.procs)))
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 }
 
 // dispatch hands control to p and blocks until p yields back. It is the only
@@ -543,13 +550,19 @@ func (e *Engine) Close() {
 //
 //simlint:noalloc
 func (e *Engine) dispatch(p *Proc) {
+	if p.co == nil {
+		// A queue server's registration dispatch with nothing queued yet:
+		// it goes idle without ever taking a coroutine (see Queue.Serve).
+		p.serving = false
+		return
+	}
 	prev := e.current
 	e.current = p
 	e.cUnparked.Inc()
-	p.next() //simlint:allow noalloc coroutine switch into the proc until it parks or ends; allocation-free in steady state (TestSleepResumeZeroAlloc)
+	p.co.next() //simlint:allow noalloc coroutine switch into the proc until it parks or ends; allocation-free in steady state (TestSleepResumeZeroAlloc)
 	e.current = prev
 	if p.dead {
-		delete(e.procs, p)
+		e.unlink(p)
 	}
 }
 
@@ -557,38 +570,117 @@ func (e *Engine) dispatch(p *Proc) {
 // current virtual time (after already-scheduled events at this timestamp).
 // It is safe to call from engine context or process context.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		e:    e,
-		id:   e.seq, // unique, monotone: reuse the event sequence counter
-		name: name,
-	}
+	p := e.spawn(name, fn)
+	e.bind(p)
+	e.scheduleProc(p, 0)
+	return p
+}
+
+// spawn creates a process and adds it to the live set. Its id is the
+// sequence number its first dispatch will take: unique and monotone.
+func (e *Engine) spawn(name string, fn func(*Proc)) *Proc {
+	p := &Proc{e: e, id: e.seq, name: name, fn: fn, slot: len(e.procs)}
 	p.ev.proc = p
 	p.ev.eng = e
 	p.ev.index = -1
-	e.procs[p] = struct{}{}
+	e.procs = append(e.procs, p)
 	e.cProcs.Inc()
-	// The coroutine body runs on the first dispatch. It never lets a panic
-	// escape into next: failures are recorded on the engine, and a kill
-	// unwinds to here and ends the body normally.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != errProcKilled {
-					e.fail(fmt.Errorf("sim: proc %q panicked: %v\n%s", name, r, debug.Stack()))
+	return p
+}
+
+// unlink removes an ended process from the live set in O(1) by moving the
+// last entry into its slot.
+func (e *Engine) unlink(p *Proc) {
+	n := len(e.procs) - 1
+	last := e.procs[n]
+	e.procs[p.slot] = last
+	last.slot = p.slot
+	e.procs[n] = nil
+	e.procs = e.procs[:n]
+	p.slot = -1
+}
+
+// exit marks p ended and fires its Done completion.
+func (e *Engine) exit(p *Proc) {
+	p.dead = true
+	if p.done != nil {
+		p.done.fire()
+	}
+}
+
+// bind lends p a coroutine: the most recently pooled one, whose stack is
+// already grown and likely still in cache, or a new one when the pool is
+// empty.
+func (e *Engine) bind(p *Proc) {
+	var c *coro
+	if n := len(e.idle) - 1; n >= 0 {
+		c = e.idle[n]
+		e.idle[n] = nil
+		e.idle = e.idle[:n]
+	} else {
+		c = e.newCoro()
+	}
+	c.p = p
+	p.co = c
+}
+
+// newCoro creates a pooled coroutine. Its body runs the bound process's
+// function, returns itself to the idle list and suspends until the next
+// bind; it never lets a panic escape into next. The recover is armed once
+// for the coroutine's whole life: failures are recorded on the engine, a
+// kill unwinds to it, and either way the coroutine ends rather than return
+// to the pool with a half-unwound process.
+func (e *Engine) newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				p := c.p
+				if r != errProcKilled {
+					e.fail(fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack()))
 				}
-			}()
-			if !p.killed {
-				fn(p)
+				p.co = nil
+				if !p.dead {
+					e.exit(p)
+				}
 			}
 		}()
-		p.dead = true
-		if p.done != nil {
-			p.done.fire()
+		for {
+			p := c.p
+			if !p.killed {
+				p.fn(p)
+			}
+			if p.server && !p.killed {
+				p.serving = false
+			} else {
+				e.exit(p)
+			}
+			c.p, p.co = nil, nil
+			e.idle = append(e.idle, c)
+			if !yield(struct{}{}) {
+				return
+			}
 		}
 	})
-	e.scheduleProc(p, 0)
-	return p
+	return c
+}
+
+// wake readies queue server p after a Put: it binds a coroutine if p holds
+// none and, unless a dispatch is already scheduled or the drain is running,
+// schedules one now — the instant and sequence number an unparked getter
+// would take.
+func (e *Engine) wake(p *Proc) {
+	if p.dead {
+		return
+	}
+	if p.co == nil {
+		e.bind(p)
+	}
+	if !p.serving {
+		p.serving = true
+		e.scheduleProc(p, 0)
+	}
 }
 
 // ProcNames returns the names of all live processes, sorted; a debugging
@@ -596,7 +688,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // blocked on conditions that can no longer occur).
 func (e *Engine) ProcNames() []string {
 	names := make([]string, 0, len(e.procs))
-	for p := range e.procs {
+	for _, p := range e.procs {
 		names = append(names, p.name)
 	}
 	sort.Strings(names)

@@ -2,10 +2,11 @@ package sim
 
 import "testing"
 
-// The engine microbenchmarks cover the three steady-state hot paths every
+// The engine microbenchmarks cover the steady-state hot paths every
 // simulated experiment exercises: the pure schedule→fire event cycle, the
-// process sleep→resume cycle (heap + coroutine switch), and the
-// completion fire/wait handoff. cmd/enginebench reruns the same loops to
+// process sleep→resume cycle (heap + coroutine switch), the completion
+// fire/wait handoff, and the two ways a process borrows a pooled coroutine —
+// a short-lived Go and a queue server woken by Put. cmd/enginebench reruns the same loops to
 // emit BENCH_engine.json; keep the workloads in sync.
 
 // BenchmarkScheduleFire measures the no-handle schedule→fire event cycle:
@@ -106,6 +107,57 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	tick = func() {
 		ev := e.Schedule(Millisecond, driver)
 		ev.Cancel()
+		n++
+		if n < b.N {
+			e.After(Nanosecond, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(Nanosecond, tick)
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawnShort measures starting a process that returns at once, the
+// per-message helper pattern of the MX model: Go, one dispatch on a pooled
+// coroutine, and the coroutine's return to the pool.
+func BenchmarkSpawnShort(b *testing.B) {
+	e := NewEngine()
+	short := func(*Proc) {}
+	n := 0
+	var tick func()
+	tick = func() {
+		e.Go("short", short)
+		n++
+		if n < b.N {
+			e.After(Nanosecond, tick)
+		}
+	}
+	e.Go("warm", short) // fill the coroutine pool before timing
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(Nanosecond, tick)
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkServeCycle measures one item through a served queue, the NIC
+// models' receive and send-queue pattern: Put wakes the idle server, which
+// borrows a pooled coroutine, drains the item and returns it.
+func BenchmarkServeCycle(b *testing.B) {
+	e := NewEngine()
+	q := NewQueue[int](e, "serve")
+	q.Serve("server", func(*Proc, int) {})
+	n := 0
+	var tick func()
+	tick = func() {
+		q.Put(n)
 		n++
 		if n < b.N {
 			e.After(Nanosecond, tick)

@@ -3,7 +3,9 @@ package sim
 // Queue is an unbounded FIFO channel between simulation activities. Put
 // never blocks and is safe from engine context (event callbacks); Get blocks
 // the calling process until an item is available. Items are delivered in
-// insertion order; competing getters are served in arrival order.
+// insertion order; competing getters are served in arrival order. A queue
+// with a single consumer can instead be served (Serve): the consumer then
+// costs a coroutine only while items wait.
 //
 // Both the item and getter FIFOs are head-indexed slices rather than
 // window-resliced ones: popping advances a cursor and the backing array is
@@ -15,6 +17,8 @@ type Queue[T any] struct {
 	ihead   int // items[ihead:] are live
 	getters []*Proc
 	ghead   int // getters[ghead:] are waiting
+	server  *Proc
+	serve   func(*Proc, T)
 
 	puts    int64
 	maxLen  int
@@ -79,7 +83,8 @@ func (q *Queue[T]) popGetter() *Proc {
 	return g
 }
 
-// Put appends an item and wakes the first waiting getter, if any.
+// Put appends an item and wakes the first waiting getter, if any, or the
+// queue's server.
 func (q *Queue[T]) Put(v T) {
 	q.account()
 	q.puts++
@@ -87,14 +92,57 @@ func (q *Queue[T]) Put(v T) {
 	if q.Len() > q.maxLen {
 		q.maxLen = q.Len()
 	}
-	if q.ghead < len(q.getters) {
+	if q.server != nil {
+		q.e.wake(q.server)
+	} else if q.ghead < len(q.getters) {
 		q.popGetter().unpark()
+	}
+}
+
+// Serve makes fn the queue's only consumer: a process named name that calls
+// fn for every item, in order. It behaves exactly like
+//
+//	e.Go(name, func(p *Proc) { for { fn(p, q.Get(p)) } })
+//
+// — the same events at the same instants with the same sequence numbers —
+// but it holds a coroutine only while items wait. Serve schedules the
+// server's first dispatch where Go would (it goes idle at once if nothing is
+// queued by then); after that, a Put to an empty queue schedules the server
+// where it would have unparked the waiting getter, and the server drains
+// every item with the same accounting as Get, then returns its coroutine to
+// the engine's pool. Between items the server stays live (LiveProcs,
+// ProcNames); Engine.Close ends it. fn may block. Get on a served queue
+// panics.
+func (q *Queue[T]) Serve(name string, fn func(*Proc, T)) {
+	if q.server != nil || q.ghead < len(q.getters) {
+		panic("sim: queue " + q.name + " already has a consumer")
+	}
+	q.serve = fn
+	p := q.e.spawn(name, q.drain)
+	p.server = true
+	p.serving = true
+	q.server = p
+	if q.Len() > 0 {
+		q.e.bind(p)
+	}
+	q.e.scheduleProc(p, 0)
+}
+
+// drain is a server's process function: it consumes items until the queue
+// is empty, as Get would without ever parking.
+func (q *Queue[T]) drain(p *Proc) {
+	for q.Len() > 0 {
+		q.account()
+		q.serve(p, q.popItem())
 	}
 }
 
 // Get removes and returns the oldest item, blocking p while the queue is
 // empty.
 func (q *Queue[T]) Get(p *Proc) T {
+	if q.server != nil {
+		panic("sim: Get on served queue " + q.name)
+	}
 	for q.Len() == 0 {
 		q.getters = append(q.getters, p)
 		p.park()

@@ -88,8 +88,8 @@ func NewHostTCPPair(eng *sim.Engine, cfg HostTCPConfig) (Endpoint, Endpoint) {
 		h.conn.RTO = 200 * sim.Millisecond // Linux's minimum RTO
 		h.conn.OnSendable = func() { h.txKick.Put(struct{}{}) }
 		h.port = net.Attach(h)
-		eng.Go(name+"/ksoftirqd", h.rxLoop)
-		eng.Go(name+"/ktx", h.txLoop)
+		h.rxQ.Serve(name+"/ksoftirqd", h.receive)
+		h.txKick.Serve(name+"/ktx", h.transmit)
 		return h
 	}
 	a := mk("hosttcp0")
@@ -112,7 +112,7 @@ func (h *hostTCP) Deliver(f *fabric.Frame) {
 }
 
 // Send implements Endpoint: syscall, checksum+copy into the socket buffer,
-// hand records to TCP. The kernel transmit path (txLoop) does the
+// hand records to TCP. The kernel transmit path (transmit) does the
 // per-packet work on the same CPU.
 func (h *hostTCP) Send(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	if n <= 0 {
@@ -148,32 +148,29 @@ func (h *hostTCP) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	h.cpu.Release(1)
 }
 
-// txLoop is the kernel transmit path: per-segment protocol work on the CPU,
-// then DMA to the NIC and onto the wire. The next frame's DMA is booked
+// transmit is the kernel transmit path, served once per kick: per-segment
+// protocol work on the CPU, then DMA to the NIC and onto the wire. The next frame's DMA is booked
 // before waiting on the current one (NIC descriptor rings prefetch).
-func (h *hostTCP) txLoop(p *sim.Proc) {
+func (h *hostTCP) transmit(p *sim.Proc, _ struct{}) {
+	cur, ok := h.conn.NextSegment()
+	if !ok {
+		return
+	}
+	h.cpu.Use(p, h.cfg.KernelPerPkt)
+	curReady := h.bookDMA(p.Now(), cur.Len+40)
 	for {
-		h.txKick.Get(p)
-		cur, ok := h.conn.NextSegment()
-		if !ok {
-			continue
+		next, more := h.conn.NextSegment()
+		var nextReady sim.Time
+		if more {
+			h.cpu.Use(p, h.cfg.KernelPerPkt)
+			nextReady = h.bookDMA(p.Now(), next.Len+40)
 		}
-		h.cpu.Use(p, h.cfg.KernelPerPkt)
-		curReady := h.bookDMA(p.Now(), cur.Len+40)
-		for {
-			next, more := h.conn.NextSegment()
-			var nextReady sim.Time
-			if more {
-				h.cpu.Use(p, h.cfg.KernelPerPkt)
-				nextReady = h.bookDMA(p.Now(), next.Len+40)
-			}
-			p.SleepUntil(curReady)
-			h.emit(cur)
-			if !more {
-				break
-			}
-			cur, curReady = next, nextReady
+		p.SleepUntil(curReady)
+		h.emit(cur)
+		if !more {
+			break
 		}
+		cur, curReady = next, nextReady
 	}
 }
 
@@ -198,27 +195,25 @@ func (h *hostTCP) emit(seg tcpsim.Segment) {
 	})
 }
 
-// rxLoop is the softirq path: per-segment protocol work plus the
-// checksum+copy pass into the socket buffer, all on the host CPU.
-func (h *hostTCP) rxLoop(p *sim.Proc) {
-	for {
-		seg := h.rxQ.Get(p)
-		h.cpu.Acquire(p, 1)
-		if seg.Len == 0 {
-			p.Sleep(h.cfg.AckCost)
-		} else {
-			p.Sleep(h.cfg.KernelPerPkt)
-			p.Sleep(h.cfg.ChecksumCopyRate.TxTime(seg.Len))
-		}
-		// NIC already DMA'd the frame into ring buffers; charge the bus.
-		h.pcie.WriteAsync(seg.Len + 40)
-		recs, ack, need := h.conn.Input(seg)
-		h.cpu.Release(1)
-		if need {
-			h.emit(ack)
-		}
-		for _, rec := range recs {
-			h.rcv.push(rec.Meta.([]byte))
-		}
+// receive is the softirq path, served once per segment: per-segment protocol
+// work plus the checksum+copy pass into the socket buffer, all on the host
+// CPU.
+func (h *hostTCP) receive(p *sim.Proc, seg tcpsim.Segment) {
+	h.cpu.Acquire(p, 1)
+	if seg.Len == 0 {
+		p.Sleep(h.cfg.AckCost)
+	} else {
+		p.Sleep(h.cfg.KernelPerPkt)
+		p.Sleep(h.cfg.ChecksumCopyRate.TxTime(seg.Len))
+	}
+	// NIC already DMA'd the frame into ring buffers; charge the bus.
+	h.pcie.WriteAsync(seg.Len + 40)
+	recs, ack, need := h.conn.Input(seg)
+	h.cpu.Release(1)
+	if need {
+		h.emit(ack)
+	}
+	for _, rec := range recs {
+		h.rcv.push(rec.Meta.([]byte))
 	}
 }

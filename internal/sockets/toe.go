@@ -86,8 +86,8 @@ func NewTOEPair(eng *sim.Engine, cfg TOEConfig) (Endpoint, Endpoint) {
 		t.conn.MSS = cfg.MTU - 40
 		t.conn.OnSendable = func() { t.txKick.Put(struct{}{}) }
 		t.port = net.Attach(t)
-		eng.Go(name+"/nic-tx", t.txLoop)
-		eng.Go(name+"/nic-rx", t.rxLoop)
+		t.txKick.Serve(name+"/nic-tx", t.transmit)
+		t.rxQ.Serve(name+"/nic-rx", t.receive)
 		return t
 	}
 	a := mk("toe0")
@@ -132,31 +132,28 @@ func (t *toe) Recv(pr *sim.Proc, buf *mem.Buffer, off, n int) {
 	copy(buf.Slice(off, n), t.rcv.take(n))
 }
 
-// txLoop is the NIC transmit engine: DMA the segment across PCIe and the
-// internal bridge, process, emit — with a one-segment DMA prefetch so the
-// buses stay busy through engine time.
-func (t *toe) txLoop(p *sim.Proc) {
+// transmit is the NIC transmit engine, served once per kick: DMA each
+// sendable segment across PCIe and the internal bridge, process, emit — with
+// a one-segment DMA prefetch so the buses stay busy through engine time.
+func (t *toe) transmit(p *sim.Proc, _ struct{}) {
+	cur, ok := t.conn.NextSegment()
+	if !ok {
+		return
+	}
+	curReady := t.bookDMA(p.Now(), cur.Len+40)
 	for {
-		t.txKick.Get(p)
-		cur, ok := t.conn.NextSegment()
-		if !ok {
-			continue
+		next, more := t.conn.NextSegment()
+		var nextReady sim.Time
+		if more {
+			nextReady = t.bookDMA(p.Now(), next.Len+40)
 		}
-		curReady := t.bookDMA(p.Now(), cur.Len+40)
-		for {
-			next, more := t.conn.NextSegment()
-			var nextReady sim.Time
-			if more {
-				nextReady = t.bookDMA(p.Now(), next.Len+40)
-			}
-			p.SleepUntil(curReady)
-			t.engine.Use(p, t.cfg.NICPerPkt)
-			t.emit(cur)
-			if !more {
-				break
-			}
-			cur, curReady = next, nextReady
+		p.SleepUntil(curReady)
+		t.engine.Use(p, t.cfg.NICPerPkt)
+		t.emit(cur)
+		if !more {
+			break
 		}
+		cur, curReady = next, nextReady
 	}
 }
 
@@ -183,31 +180,28 @@ func (t *toe) emit(seg tcpsim.Segment) {
 	})
 }
 
-// rxLoop is the NIC receive engine: protocol work on the TOE, DMA into the
-// host socket buffer, completion event.
-func (t *toe) rxLoop(p *sim.Proc) {
-	for {
-		seg := t.rxQ.Get(p)
-		if seg.Len == 0 {
-			t.engine.Use(p, t.cfg.NICAckTime)
-			t.conn.Input(seg)
-			continue
-		}
-		t.engine.Use(p, t.cfg.NICPerPkt)
-		recs, ack, need := t.conn.Input(seg)
-		if need {
-			t.emit(ack)
-		}
-		// Stream the payload to host memory.
-		b1 := t.bridge.WriteFrom(t.eng.Now(), seg.Len)
-		done := t.pcie.WriteFrom(b1, seg.Len)
-		if len(recs) > 0 {
-			recsCopy := recs
-			t.eng.At(done+t.cfg.CompletionDelay, func() {
-				for _, rec := range recsCopy {
-					t.rcv.push(rec.Meta.([]byte))
-				}
-			})
-		}
+// receive is the NIC receive engine, served once per segment: protocol work
+// on the TOE, DMA into the host socket buffer, completion event.
+func (t *toe) receive(p *sim.Proc, seg tcpsim.Segment) {
+	if seg.Len == 0 {
+		t.engine.Use(p, t.cfg.NICAckTime)
+		t.conn.Input(seg)
+		return
+	}
+	t.engine.Use(p, t.cfg.NICPerPkt)
+	recs, ack, need := t.conn.Input(seg)
+	if need {
+		t.emit(ack)
+	}
+	// Stream the payload to host memory.
+	b1 := t.bridge.WriteFrom(t.eng.Now(), seg.Len)
+	done := t.pcie.WriteFrom(b1, seg.Len)
+	if len(recs) > 0 {
+		recsCopy := recs
+		t.eng.At(done+t.cfg.CompletionDelay, func() {
+			for _, rec := range recsCopy {
+				t.rcv.push(rec.Meta.([]byte))
+			}
+		})
 	}
 }
